@@ -1,30 +1,21 @@
-//! RNS throughput: per-residue NTTs and the RNS-BFV multiply pipeline.
+//! RNS throughput: per-residue NTTs and the CRT-boundary tail kernels.
 //!
-//! Extends the perf trajectory past the single-prime ceiling: `forward` here
-//! is `k` Harvey transforms (one per CRT prime), `forward_many` batches a
-//! ciphertext pair residue-major, and the BFV group reports the cost of the
-//! new capability — ciphertext×ciphertext multiplication with CRT-gadget
-//! relinearization, which no single-prime parameter set can do at all.
-//! The `rns_convert`/`rns_rescale` groups race the fast (BEHZ/HPS) CRT
-//! boundary against the exact big-integer oracle, and `multiply_exact`
-//! keeps the oracle's end-to-end cost on the scoreboard. The
-//! `ntt_simd_vs_scalar`/`bfv_simd_vs_scalar` groups pin the dispatch to
-//! the scalar oracle and to the detected vector backend in turn (also
-//! emitting `csv,simd_backend,<name>` for the CI dispatch assertion), so
-//! the SIMD speedup is measured directly on the RNS transforms and the
-//! full ct×ct multiply.
+//! `forward` here is `k` Harvey transforms (one per CRT prime) and
+//! `forward_many` batches a ciphertext-pair-sized set residue-major. The
+//! `ntt_simd_vs_scalar` group pins the dispatch to the scalar oracle and to
+//! the detected vector backend in turn (also emitting
+//! `csv,simd_backend,<name>` for the CI dispatch assertion), so the SIMD
+//! speedup is measured directly on the RNS transforms; the tail breakdown
+//! times the FBC corrections and the batched CRT compose the same way.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pi_field::simd::{self, SimdBackend};
-use pi_field::FastBaseConverter;
-use pi_he::rns::{RnsBfvParams, RnsKeySet};
 use pi_poly::rns::RnsContext;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
-/// Before/after of the SIMD dispatch: the same RNS transforms and the
-/// ct×ct multiply with the backend pinned to the scalar oracle vs the
-/// auto-detected vector path. Also prints `csv,simd_backend,<name>` so CI
+/// Before/after of the SIMD dispatch: the same RNS transforms with the
+/// backend pinned to the scalar oracle vs the auto-detected vector path. Also prints `csv,simd_backend,<name>` so CI
 /// can assert the runner actually dispatched a vector backend (a silent
 /// fallback to scalar fails the grep loudly).
 fn bench_ntt_simd_vs_scalar(c: &mut Criterion) {
@@ -66,29 +57,6 @@ fn bench_ntt_simd_vs_scalar(c: &mut Criterion) {
                     })
                 },
             );
-            simd::clear_forced_backend();
-        }
-    }
-    group.finish();
-
-    let mut group = c.benchmark_group("bfv_simd_vs_scalar");
-    group.sample_size(10);
-    for (label, params) in [
-        ("n2048_3x45", RnsBfvParams::new(2048, 45, 3, 16)),
-        ("n4096_4x50", RnsBfvParams::default_rns()),
-    ] {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let keys = RnsKeySet::generate(&params, &mut rng);
-        let t = params.t().value();
-        let m1: Vec<u64> = (0..params.n()).map(|_| rng.gen_range(0..t)).collect();
-        let m2: Vec<u64> = (0..params.n()).map(|_| rng.gen_range(0..t)).collect();
-        let ct1 = keys.public.encrypt(&m1, &mut rng);
-        let ct2 = keys.public.encrypt(&m2, &mut rng);
-        for (be_label, be) in [("scalar", SimdBackend::Scalar), ("simd", auto)] {
-            simd::force_backend(be);
-            group.bench_function(format!("multiply_{be_label}/{label}"), |b| {
-                b.iter(|| ct1.multiply(&ct2, &keys.relin))
-            });
             simd::clear_forced_backend();
         }
     }
@@ -243,93 +211,10 @@ fn bench_rns_ntt(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_rns_bfv(c: &mut Criterion) {
-    let mut group = c.benchmark_group("rns_bfv");
-    group.sample_size(10);
-    for (label, params) in [
-        ("n2048_3x45", RnsBfvParams::new(2048, 45, 3, 16)),
-        ("n4096_4x50", RnsBfvParams::default_rns()),
-    ] {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let keys = RnsKeySet::generate(&params, &mut rng);
-        let t = params.t().value();
-        let m1: Vec<u64> = (0..params.n()).map(|_| rng.gen_range(0..t)).collect();
-        let m2: Vec<u64> = (0..params.n()).map(|_| rng.gen_range(0..t)).collect();
-        let ct1 = keys.public.encrypt(&m1, &mut rng);
-        let ct2 = keys.public.encrypt(&m2, &mut rng);
-
-        group.bench_function(format!("encrypt/{label}"), |b| {
-            b.iter(|| keys.public.encrypt(&m1, &mut rng))
-        });
-        group.bench_function(format!("decrypt/{label}"), |b| {
-            b.iter(|| keys.secret.decrypt(&ct1))
-        });
-        let op = params.plain_operand(&m2);
-        group.bench_function(format!("mul_plain/{label}"), |b| {
-            b.iter(|| ct1.mul_plain(&op))
-        });
-        group.bench_function(format!("multiply/{label}"), |b| {
-            b.iter(|| ct1.multiply(&ct2, &keys.relin))
-        });
-        group.bench_function(format!("multiply_exact/{label}"), |b| {
-            b.iter(|| ct1.multiply_exact(&ct2, &keys.relin))
-        });
-        group.bench_function(format!("relinearize/{label}"), |b| {
-            let raw = ct1.multiply_no_relin(&ct2, &params);
-            b.iter(|| raw.relinearize(&keys.relin))
-        });
-    }
-    group.finish();
-}
-
-fn bench_rns_boundary(c: &mut Criterion) {
-    let mut group = c.benchmark_group("rns_rescale");
-    group.sample_size(10);
-    for (label, params) in [
-        ("n2048_3x45", RnsBfvParams::new(2048, 45, 3, 16)),
-        ("n4096_4x50", RnsBfvParams::default_rns()),
-    ] {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-        let keys = RnsKeySet::generate(&params, &mut rng);
-        let t = params.t().value();
-        let m1: Vec<u64> = (0..params.n()).map(|_| rng.gen_range(0..t)).collect();
-        let m2: Vec<u64> = (0..params.n()).map(|_| rng.gen_range(0..t)).collect();
-        let ct1 = keys.public.encrypt(&m1, &mut rng);
-        let ct2 = keys.public.encrypt(&m2, &mut rng);
-
-        // Fast vs exact t/Q rescale of one tensor component, on the columns
-        // the production pipeline actually produces.
-        let tensor = ct1.tensor_ext_columns(&ct2, &params, false);
-        group.bench_function(format!("fast/{label}"), |b| {
-            b.iter(|| params.scale_round_to_base(&tensor[0]))
-        });
-        group.bench_function(format!("exact/{label}"), |b| {
-            b.iter(|| params.scale_round_to_base_exact(&tensor[0]))
-        });
-
-        // Fast vs exact centered lift of one ciphertext component into the
-        // extended basis (the other CRT crossing of the multiply).
-        let lift_conv = FastBaseConverter::new(
-            params.base().basis(),
-            &params.ext().basis().moduli()[params.basis_len()..],
-        );
-        let c0 = ct1.polys[0].clone().into_coeff();
-        group.bench_function(format!("lift_fast/{label}"), |b| {
-            b.iter(|| c0.extend_fast(params.ext(), &lift_conv))
-        });
-        group.bench_function(format!("lift_exact/{label}"), |b| {
-            b.iter(|| c0.extend_centered(params.ext()))
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_ntt_simd_vs_scalar,
     bench_tail_breakdown,
-    bench_rns_ntt,
-    bench_rns_bfv,
-    bench_rns_boundary
+    bench_rns_ntt
 );
 criterion_main!(benches);

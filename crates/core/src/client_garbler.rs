@@ -19,8 +19,9 @@
 
 use crate::channel::Channel;
 use crate::common::{
-    field_bits, try_client_offline_linear, try_ot_base_as_ext_sender, unexpected, ModelMeta,
-    PartyOutcome, ProtocolConfig, ProtocolKind, ServerPrecomp,
+    check_ot_shape, combine_output, field_bits, try_client_offline_linear,
+    try_ot_base_as_ext_sender, unexpected, ModelMeta, PartyOutcome, ProtocolConfig, ProtocolKind,
+    ServerPrecomp,
 };
 use crate::error::ProtocolError;
 use crate::msg::Msg;
@@ -181,6 +182,7 @@ pub(crate) fn try_run_client_with_keys<R: Rng + ?Sized>(
             }
         }
         out.ot_count += pairs.len() as u64;
+        check_ot_shape(&extend, pairs.len())?;
         chan.send(Msg::OtTransfer(ext_sender.transfer(&extend, &pairs)))?;
     }
 
@@ -189,12 +191,7 @@ pub(crate) fn try_run_client_with_keys<R: Rng + ?Sized>(
         Msg::VecU64(v) => v,
         other => return Err(unexpected("VecU64", &other)),
     };
-    let last = meta.phases.len() - 1;
-    let output: Vec<u64> = server_share
-        .iter()
-        .zip(&c_shares[last])
-        .map(|(&a, &b)| p.add(a, b))
-        .collect();
+    let output = combine_output(p, &server_share, &c_shares[meta.phases.len() - 1])?;
     out.total_sent = chan.bytes_sent();
     out.total_sent_flat = chan.bytes_sent_flat();
     drop(root_span);

@@ -11,11 +11,12 @@ use crate::error::ProtocolError;
 use crate::msg::Msg;
 use pi_field::Modulus;
 use pi_gc::circuit::{from_bits, to_bits};
+use pi_gc::{Circuit, Label};
 use pi_he::linalg::{self, BsgsDiagonals, PlainMatrix};
 use pi_he::{BatchEncoder, BfvParams, GaloisKeys, KeySet, NoiseStage, PublicKey};
 use pi_nn::PiModel;
-use pi_ot::base::{BaseOtReceiver, BaseOtSender};
-use pi_ot::ext::{ReceiverSetup, SenderSetup, KAPPA};
+use pi_ot::base::{BaseOtReceiver, BaseOtSender, ReceiverChoiceMsg, SenderTransferMsg};
+use pi_ot::ext::{ExtendMsg, ReceiverSetup, SenderSetup, TransferMsg, KAPPA};
 use rand::Rng;
 use std::sync::Arc;
 
@@ -190,6 +191,87 @@ pub(crate) fn unexpected(expected: &'static str, got: &Msg) -> ProtocolError {
     }
 }
 
+/// A peer's OT message, whose shape `pi-ot` asserts on: its transfer and
+/// decode entry points treat a mismatch as a caller bug and panic. At the
+/// trust boundary the mismatch is the peer's fault, so every call site
+/// checks with [`check_ot_shape`] first.
+pub(crate) trait OtShape {
+    /// Whether the message carries exactly `count` transfers, laid out as
+    /// its `pi-ot` consumer expects.
+    fn carries(&self, count: usize) -> bool;
+}
+
+impl OtShape for ExtendMsg {
+    fn carries(&self, count: usize) -> bool {
+        self.num_transfers == count
+            && self.u_columns.len() == KAPPA
+            && self
+                .u_columns
+                .iter()
+                .all(|c| c.len() == count.div_ceil(128))
+    }
+}
+
+impl OtShape for TransferMsg {
+    fn carries(&self, count: usize) -> bool {
+        self.pairs.len() == count
+    }
+}
+
+impl OtShape for ReceiverChoiceMsg {
+    fn carries(&self, count: usize) -> bool {
+        self.pk0.len() == count
+    }
+}
+
+impl OtShape for SenderTransferMsg {
+    fn carries(&self, count: usize) -> bool {
+        self.items.len() == count
+    }
+}
+
+/// Rejects a peer OT message that does not carry exactly `count` transfers
+/// with [`ProtocolError::BadRequest`] instead of letting `pi-ot` panic.
+pub(crate) fn check_ot_shape(msg: &impl OtShape, count: usize) -> Result<(), ProtocolError> {
+    if msg.carries(count) {
+        Ok(())
+    } else {
+        Err(ProtocolError::BadRequest("OT message shape"))
+    }
+}
+
+/// Rejects peer garbled tables that are not one table per ReLU instance
+/// (`m`), each with one entry per AND gate of `circuit` — the shape
+/// `pi_gc::garble::evaluate_many` asserts on.
+pub(crate) fn check_gc_tables(
+    tables: &[Vec<(Label, Label)>],
+    m: usize,
+    circuit: &Circuit,
+) -> Result<(), ProtocolError> {
+    if tables.len() == m && tables.iter().all(|t| t.len() == circuit.and_count()) {
+        Ok(())
+    } else {
+        Err(ProtocolError::BadRequest("garbled table count"))
+    }
+}
+
+/// Combines the server's final output share with the client's, rejecting
+/// a share that does not cover every output.
+pub(crate) fn combine_output(
+    p: Modulus,
+    server_share: &[u64],
+    client_share: &[u64],
+) -> Result<Vec<u64>, ProtocolError> {
+    if server_share.len() != client_share.len() {
+        return Err(ProtocolError::BadRequest("final output share length"));
+    }
+    Ok(server_share
+        .iter()
+        .zip(client_share)
+        .map(|(&a, &b)| p.add(a, b))
+        .collect())
+}
+
 // ---------------------------------------------------------------------------
 // Offline linear pass, client side.
 // ---------------------------------------------------------------------------
@@ -209,7 +291,8 @@ pub struct ClientHe {
 pub struct ClientHeKeys {
     /// Encryption key.
     pub pk: PublicKey,
-    /// Rotation keys (BSGS babies/giants + power-of-two composition chain).
+    /// Rotation keys: exactly the BSGS baby/giant set for the model's
+    /// linear-layer dimensions.
     pub gk: GaloisKeys,
 }
 
@@ -224,9 +307,9 @@ impl ClientHeKeys {
 /// Client side of the offline linear pass: sends `E(r_cat)` per phase and
 /// decrypts the returned shares `W·r − s`.
 ///
-/// In HE mode the client needs the power-of-two composition keys plus the
-/// hoisted baby-step/giant-step rotation set for every linear-layer
-/// dimension the model metadata announces ([`KeySet::generate_for_dims`]).
+/// In HE mode the client needs exactly the hoisted baby-step/giant-step
+/// rotation set for every linear-layer dimension the model metadata
+/// announces ([`KeySet::generate_for_dims`]).
 /// `retained` is the client's own key cache: when `Some`, the cached keys
 /// are reused (no regeneration — the serving runtime's [`Msg::KeyStatus`]
 /// handshake relies on this); when `None`, fresh keys are generated and
@@ -447,6 +530,7 @@ pub fn try_ot_base_as_ext_receiver<R: Rng + ?Sized>(
         Msg::OtBaseChoice(c) => c,
         other => return Err(unexpected("OtBaseChoice", &other)),
     };
+    check_ot_shape(&choice, seed_pairs.len())?;
     let transfer = sender.transfer(&choice, &seed_pairs, rng);
     chan.send(Msg::OtBaseTransfer(transfer))?;
     Ok(ReceiverSetup { seed_pairs })
@@ -476,6 +560,7 @@ pub fn try_ot_base_as_ext_sender<R: Rng + ?Sized>(
         Msg::OtBaseTransfer(t) => t,
         other => return Err(unexpected("OtBaseTransfer", &other)),
     };
+    check_ot_shape(&transfer, KAPPA)?;
     let seeds = receiver.receive(&transfer);
     Ok(SenderSetup { s, seeds })
 }

@@ -29,8 +29,8 @@
 
 use crate::channel::MsgSink;
 use crate::common::{
-    bits_field, field_bits, push_field_bits, unexpected, ClientHeKeys, LinearMode, ModelMeta,
-    PartyOutcome, ProtocolConfig, ProtocolKind, ServerPrecomp,
+    bits_field, check_gc_tables, check_ot_shape, field_bits, push_field_bits, unexpected,
+    ClientHeKeys, LinearMode, ModelMeta, PartyOutcome, ProtocolConfig, ProtocolKind, ServerPrecomp,
 };
 use crate::error::ProtocolError;
 use crate::msg::Msg;
@@ -187,6 +187,19 @@ impl ServerSession {
         let relu_phases: Vec<usize> = (0..meta.phases.len())
             .filter(|&i| meta.phases[i].relu_shift.is_some())
             .collect();
+        // The client garbles; the server evaluates on the public topology,
+        // which also fixes the shape its tables must have.
+        let cg_circuits = if matches!(cfg.kind, ProtocolKind::ClientGarbler) {
+            relu_phases
+                .iter()
+                .map(|&i| {
+                    let shift = meta.phases[i].relu_shift.expect("relu");
+                    relu_trunc_circuit(meta.p.value(), shift).0
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
         let he = cached_keys.map(|keys| HeCtx {
             keys,
             encoder: BatchEncoder::new(
@@ -214,7 +227,7 @@ impl ServerSession {
             cg_partial_tables: None,
             cg_partial_decode: None,
             cg_gcs: Vec::new(),
-            cg_circuits: Vec::new(),
+            cg_circuits,
             cg_pending_ot: None,
             masked_acts: Vec::new(),
             phase_idx: 0,
@@ -332,6 +345,7 @@ impl ServerSession {
             }
             (State::SgAwaitBaseSetup { .. }, other) => Err(unexpected("OtBaseSetup", &other)),
             (State::SgAwaitBaseTransfer { receiver, s }, Msg::OtBaseTransfer(t)) => {
+                check_ot_shape(&t, KAPPA)?;
                 let seeds = {
                     let _span = pi_trace::span!("offline.ot");
                     receiver.receive(&t)
@@ -357,6 +371,7 @@ impl ServerSession {
                             pairs.push(g.encoding.label_pair(k + bit));
                         }
                     }
+                    check_ot_shape(&e, pairs.len())?;
                     self.outcome.ot_count += pairs.len() as u64;
                     let ext = self.ext_sender.as_ref().expect("ext sender ready");
                     ctx.sink
@@ -371,6 +386,7 @@ impl ServerSession {
             }
             (State::SgAwaitOtExtend { .. }, other) => Err(unexpected("OtExtend", &other)),
             (State::CgAwaitBaseChoice { sender, seed_pairs }, Msg::OtBaseChoice(c)) => {
+                check_ot_shape(&c, seed_pairs.len())?;
                 {
                     let _span = pi_trace::span!("offline.ot");
                     let transfer = sender.transfer(&c, &seed_pairs, &mut self.rng);
@@ -387,9 +403,7 @@ impl ServerSession {
             (State::CgAwaitBaseChoice { .. }, other) => Err(unexpected("OtBaseChoice", &other)),
             (State::CgAwaitTables { idx }, Msg::GcTables(t)) => {
                 let m = self.meta.phases[self.relu_phases[idx]].rows;
-                if t.len() != m {
-                    return Err(ProtocolError::BadRequest("garbled table count"));
-                }
+                check_gc_tables(&t, m, &self.cg_circuits[idx])?;
                 let table_bytes = t.iter().map(|t| t.len() as u64 * 32).sum::<u64>();
                 self.outcome.gc_bytes += table_bytes;
                 self.cg_partial_tables = Some(t);
@@ -466,6 +480,7 @@ impl ServerSession {
             (State::CgAwaitOtTransfer, Msg::OtTransfer(t)) => {
                 let k = self.meta.relu_width;
                 let (choices, t_rows) = self.cg_pending_ot.take().expect("pending OT state");
+                check_ot_shape(&t, choices.len())?;
                 let my_labels = {
                     let _span = pi_trace::span!("online.ot");
                     let ext = self.ext_receiver.as_ref().expect("ext receiver ready");
@@ -709,19 +724,6 @@ impl ServerSession {
                     + self.s_vecs.iter().map(|s| s.len() as u64 * 8).sum::<u64>()
             }
         };
-        if matches!(self.kind, ProtocolKind::ClientGarbler) {
-            self.cg_circuits = self
-                .relu_phases
-                .iter()
-                .map(|&i| {
-                    relu_trunc_circuit(
-                        self.meta.p.value(),
-                        self.meta.phases[i].relu_shift.expect("relu"),
-                    )
-                    .0
-                })
-                .collect();
-        }
         self.outcome.offline_sent = ctx.sink.sent_bytes();
         self.outcome.offline_sent_flat = ctx.sink.sent_bytes_flat();
         self.state = State::AwaitMaskedInput;

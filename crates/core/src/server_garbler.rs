@@ -19,8 +19,9 @@
 
 use crate::channel::Channel;
 use crate::common::{
-    push_field_bits, try_client_offline_linear, try_ot_base_as_ext_receiver, unexpected, ModelMeta,
-    PartyOutcome, ProtocolConfig, ProtocolKind, ServerPrecomp,
+    check_gc_tables, check_ot_shape, combine_output, push_field_bits, try_client_offline_linear,
+    try_ot_base_as_ext_receiver, unexpected, ModelMeta, PartyOutcome, ProtocolConfig, ProtocolKind,
+    ServerPrecomp,
 };
 use crate::error::ProtocolError;
 use crate::msg::Msg;
@@ -115,14 +116,21 @@ pub(crate) fn try_run_client_with_keys<R: Rng + ?Sized>(
     let relu_phases: Vec<usize> = (0..meta.phases.len())
         .filter(|&i| meta.phases[i].relu_shift.is_some())
         .collect();
+    // Circuit topology is public: rebuild it to check the tables' shape
+    // offline and to evaluate online.
+    let circuits: Vec<Circuit> = relu_phases
+        .iter()
+        .map(|&i| relu_trunc_circuit(p.value(), meta.phases[i].relu_shift.expect("relu phase")).0)
+        .collect();
     let mut gcs: Vec<ClientPhaseGc> = Vec::with_capacity(relu_phases.len());
-    for &i in &relu_phases {
+    for (gc_idx, &i) in relu_phases.iter().enumerate() {
         let ph = &meta.phases[i];
         let m = ph.rows;
         let tables = match chan.recv()? {
             Msg::GcTables(t) => t,
             other => return Err(unexpected("GcTables", &other)),
         };
+        check_gc_tables(&tables, m, &circuits[gc_idx])?;
         out.gc_bytes += tables.iter().map(|t| t.len() as u64 * 32).sum::<u64>();
         // Choice bits: per element, share_b bits then r bits (packed).
         let ot_span = pi_trace::span!("offline.ot");
@@ -138,6 +146,7 @@ pub(crate) fn try_run_client_with_keys<R: Rng + ?Sized>(
             Msg::OtTransfer(t) => t,
             other => return Err(unexpected("OtTransfer", &other)),
         };
+        check_ot_shape(&transfer, choices.len())?;
         let labels = ext_receiver.decode(&transfer, &choices, &keys);
         drop(ot_span);
         let my_labels: Vec<Vec<Label>> = labels.chunks(2 * k).map(|c| c.to_vec()).collect();
@@ -163,12 +172,6 @@ pub(crate) fn try_run_client_with_keys<R: Rng + ?Sized>(
         .map(|(&x, &r)| p.sub(x, r))
         .collect();
     chan.send(Msg::VecU64(masked))?;
-
-    // Rebuild circuits (topology is public).
-    let circuits: Vec<Circuit> = relu_phases
-        .iter()
-        .map(|&i| relu_trunc_circuit(p.value(), meta.phases[i].relu_shift.expect("relu phase")).0)
-        .collect();
 
     for (gc_idx, &i) in relu_phases.iter().enumerate() {
         let ph = &meta.phases[i];
@@ -204,12 +207,7 @@ pub(crate) fn try_run_client_with_keys<R: Rng + ?Sized>(
         Msg::VecU64(v) => v,
         other => return Err(unexpected("VecU64", &other)),
     };
-    let last = meta.phases.len() - 1;
-    let output: Vec<u64> = server_share
-        .iter()
-        .zip(&c_shares[last])
-        .map(|(&a, &b)| p.add(a, b))
-        .collect();
+    let output = combine_output(p, &server_share, &c_shares[meta.phases.len() - 1])?;
     out.total_sent = chan.bytes_sent();
     out.total_sent_flat = chan.bytes_sent_flat();
     drop(root_span);

@@ -33,23 +33,6 @@
 //! including unreduced lazy-domain representatives — which is what the
 //! `ntt_simd_differential` umbrella suite asserts.
 //!
-//! # The experimental IFMA backend and its value-level contract
-//!
-//! [`SimdBackend::Ifma`] is the one exception to the bit-for-bit rule. It
-//! is **opt-in only** (`PI_SIMD=ifma`; automatic detection never selects
-//! it, and requesting it without AVX512-IFMA hardware panics loudly). When
-//! `q < 2^50` its dyadic Shoup kernels use 52-bit limbs via
-//! `vpmadd52luq`/`vpmadd52huq`, whose quotient estimate can differ by one
-//! from the 64-bit path — so an unreduced lazy representative may differ
-//! by exactly `q` (both candidates lie in `[0, 2q)` and are congruent
-//! mod `q`). Every strictly reduced output is still the unique value in
-//! `[0, q)`, so the `ifma_differential` suite asserts **value-level**
-//! equality (decrypt equality, strict-output equality, noise within one
-//! bit of the scalar oracle) instead of lazy-representative equality.
-//! Kernels whose operands are not range-bounded by `q` (raw residues,
-//! 128-bit accumulators, gathers, butterfly schedules) delegate to the
-//! AVX-512 backend unchanged.
-//!
 //! # Gather/permute lane contracts
 //!
 //! The gather kernels ([`gather_u64`], [`gather_add_lazy`],
@@ -122,15 +105,13 @@
 //!    differential tests to pin both sides of a comparison);
 //! 2. the `PI_SIMD` environment variable: `scalar`/`off`/`0` select the
 //!    scalar oracle, `portable` the 4-lane fallback, `avx2`/`avx512`/
-//!    `neon`/`ifma` demand that specific vector unit (**panicking** if it
+//!    `neon` demand that specific vector unit (**panicking** if it
 //!    is not compiled in or not detected — a forced-SIMD CI run fails
 //!    loudly instead of silently degrading), and `auto`/`on`/`1` the
 //!    automatic choice;
 //! 3. automatic detection: AVX-512 (F+DQ+VL), then AVX2, via
 //!    `is_x86_feature_detected!` on x86_64; NEON unconditionally on
-//!    aarch64 (baseline feature); otherwise the portable fallback. The
-//!    IFMA backend is never auto-selected — it trades the bit-for-bit
-//!    contract for speed, so it must be asked for by name.
+//!    aarch64 (baseline feature); otherwise the portable fallback.
 //!
 //! Compiling with `--no-default-features` (disabling the `simd` cargo
 //! feature) removes the intrinsics backends entirely; resolution then picks
@@ -150,8 +131,6 @@ use std::sync::atomic::{AtomicU8, Ordering};
 mod avx2;
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod avx512;
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod ifma;
 #[cfg(all(feature = "simd", target_arch = "aarch64"))]
 mod neon;
 mod portable;
@@ -176,12 +155,6 @@ pub enum SimdBackend {
     /// AVX-512 (F+DQ+VL): 8 lanes, native `vpmullq` low multiplies, mask
     /// compares. Preferred over AVX2 when detected.
     Avx512 = 5,
-    /// Experimental AVX512-IFMA backend: 52-bit-limb Shoup multiplies via
-    /// `vpmadd52*` for the dyadic kernels when `q < 2^50`, AVX-512
-    /// delegation otherwise. Opt-in only (`PI_SIMD=ifma`); **not**
-    /// bit-for-bit on unreduced lazy representatives — see the module docs
-    /// for its value-level contract.
-    Ifma = 6,
 }
 
 impl SimdBackend {
@@ -193,7 +166,6 @@ impl SimdBackend {
             SimdBackend::Avx2 => "avx2",
             SimdBackend::Neon => "neon",
             SimdBackend::Avx512 => "avx512",
-            SimdBackend::Ifma => "ifma",
         }
     }
 
@@ -230,17 +202,6 @@ impl SimdBackend {
                     false
                 }
             }
-            SimdBackend::Ifma => {
-                #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-                {
-                    SimdBackend::Avx512.available()
-                        && std::arch::is_x86_feature_detected!("avx512ifma")
-                }
-                #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-                {
-                    false
-                }
-            }
         }
     }
 
@@ -251,7 +212,6 @@ impl SimdBackend {
             3 => SimdBackend::Avx2,
             4 => SimdBackend::Neon,
             5 => SimdBackend::Avx512,
-            6 => SimdBackend::Ifma,
             _ => unreachable!("invalid backend encoding"),
         }
     }
@@ -346,18 +306,9 @@ fn resolve() -> SimdBackend {
                 );
                 SimdBackend::Neon
             }
-            "ifma" => {
-                assert!(
-                    SimdBackend::Ifma.available(),
-                    "PI_SIMD=ifma requested but AVX512-IFMA is unavailable \
-                     (not an x86_64 build with the `simd` feature, or the CPU \
-                     lacks avx512ifma on top of F+DQ+VL)"
-                );
-                SimdBackend::Ifma
-            }
             other => panic!(
                 "unknown PI_SIMD value {other:?} \
-                 (expected scalar|portable|avx2|avx512|neon|ifma|auto)"
+                 (expected scalar|portable|avx2|avx512|neon|auto)"
             ),
         },
     }
@@ -370,12 +321,6 @@ fn resolve() -> SimdBackend {
 macro_rules! dispatch {
     ($be:expr, $name:ident($($arg:expr),* $(,)?)) => {{
         match $be {
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            SimdBackend::Ifma if SimdBackend::Ifma.available() => {
-                // SAFETY: AVX512F/DQ/VL + IFMA support was just verified.
-                #[allow(unsafe_code)]
-                unsafe { ifma::$name($($arg),*) }
-            }
             #[cfg(all(feature = "simd", target_arch = "x86_64"))]
             SimdBackend::Avx512 if SimdBackend::Avx512.available() => {
                 // SAFETY: AVX512F/DQ/VL support was just verified on this CPU.
@@ -854,10 +799,7 @@ fn assert_stage_geometry(
     t: usize,
 ) {
     let lane_ok = t >= LANES && t.is_multiple_of(LANES);
-    // Ifma delegates its butterfly stages to the AVX-512 kernels, so it
-    // inherits the permute-based small-stride path too.
-    let small_ok =
-        matches!(be, SimdBackend::Avx512 | SimdBackend::Ifma) && a.len().is_multiple_of(16);
+    let small_ok = be == SimdBackend::Avx512 && a.len().is_multiple_of(16);
     assert!(
         t >= 1 && (lane_ok || small_ok),
         "stage stride {t} not supported by backend {}",
@@ -1107,7 +1049,6 @@ mod tests {
         let be = auto_backend();
         assert!(be.available());
         assert!(be.is_vector());
-        // Ifma is opt-in only: auto detection must never pick it.
         assert!(["portable", "avx2", "avx512", "neon"].contains(&be.name()));
     }
 
@@ -1334,52 +1275,6 @@ mod tests {
                 let mut v = v0.clone();
                 garner_step(be, &q, &mut v, &t, inv);
                 assert_eq!(v, expect, "garner backend {} q {}", be.name(), q);
-            }
-        }
-    }
-
-    #[test]
-    fn ifma_dyadic_kernels_match_scalar_values() {
-        if !SimdBackend::Ifma.available() {
-            eprintln!("skipping: AVX512-IFMA not detected");
-            return;
-        }
-        use rand::Rng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
-        for bits in [28u32, 45, 49] {
-            // Moduli inside the 52-bit fast path's q < 2^50 window.
-            let q = Modulus::new(crate::find_ntt_prime(bits, 64));
-            let n = 37usize;
-            let a: Vec<u64> = (0..n).map(|_| rng.gen_range(0..4 * q.value())).collect();
-            let acc0: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q.twice())).collect();
-            let shoups: Vec<ShoupMul> = (0..n)
-                .map(|_| q.shoup(rng.gen_range(0..q.value())))
-                .collect();
-            let vals: Vec<u64> = shoups.iter().map(|s| s.value).collect();
-            let quots: Vec<u64> = shoups.iter().map(|s| s.quotient).collect();
-
-            // Strict outputs are unique mod-q values: bitwise equality holds
-            // even though the quotient estimate differs.
-            let mut out = vec![0u64; n];
-            dyadic_mul_shoup(SimdBackend::Ifma, &q, &mut out, &a, &vals, &quots);
-            let expect: Vec<u64> = a
-                .iter()
-                .zip(&shoups)
-                .map(|(&x, &s)| q.mul_shoup(x, s))
-                .collect();
-            assert_eq!(out, expect, "ifma strict dyadic q {q}");
-
-            // Lazy outputs are only value-equal: congruent mod q, in [0, 2q).
-            let mut acc = acc0.clone();
-            dyadic_mul_acc_shoup(SimdBackend::Ifma, &q, &mut acc, &a, &vals, &quots);
-            for j in 0..n {
-                let expect = q.add_lazy(acc0[j], q.mul_shoup_lazy(a[j], shoups[j]));
-                assert!(acc[j] < q.twice(), "ifma lazy out of range");
-                assert_eq!(
-                    q.reduce_lazy(acc[j]),
-                    q.reduce_lazy(expect),
-                    "ifma lazy value mismatch at {j} (q {q})"
-                );
             }
         }
     }

@@ -290,10 +290,10 @@ pub(crate) struct GaloisKeyEntry {
 /// ciphertext, so the one-time quotient precomputation at generation pays
 /// for itself on the first rotation. Each entry records its gadget base and
 /// carries the NTT-slot permutation for the hoisted rotation path; an
-/// element claimed by several roles (e.g. rotation 1 as both a
-/// power-of-two composition step and a BSGS baby) holds **one entry per
-/// gadget**, so composed rotations keep the cheap coarse gadget while
-/// hoisted babies get the fine one.
+/// element claimed by several roles (e.g. rotation 4 as a giant step at
+/// `d = 16` and a baby step at `d = 64`) holds **one entry per gadget**, so
+/// giant steps keep the cheap coarse gadget while hoisted babies get the
+/// fine one.
 #[derive(Clone, Debug)]
 pub struct GaloisKeys {
     params: BfvParams,
@@ -332,24 +332,6 @@ impl HoistedCiphertext {
     pub fn num_digits(&self) -> usize {
         self.digits.len()
     }
-
-    pub(crate) fn wire_parts(&self) -> (&[u64], &[u64], &[Vec<u64>]) {
-        (&self.c0, &self.c1, &self.digits)
-    }
-
-    pub(crate) fn from_wire_parts(
-        log_base: u32,
-        c0: Vec<u64>,
-        c1: Vec<u64>,
-        digits: Vec<Vec<u64>>,
-    ) -> Self {
-        Self {
-            log_base,
-            c0,
-            c1,
-            digits,
-        }
-    }
 }
 
 /// A convenience bundle of all keys one party generates.
@@ -380,34 +362,43 @@ fn power_of_two_elements(n: usize) -> Vec<usize> {
 }
 
 impl KeySet {
-    /// Generates a fresh key set with rotation keys for all power-of-two
-    /// row rotations (enough to compose any rotation in log steps) plus the
-    /// single-step rotations the diagonal method uses directly.
+    /// Generates a fresh key set whose rotation keys are the power-of-two
+    /// composition set: enough for [`GaloisKeys::rotate_rows`] to compose
+    /// any rotation in log steps, and for
+    /// [`GaloisKeys::rotate_columns`]. This is the key set the naive
+    /// matvec oracle ([`crate::linalg::matvec_naive`]) runs on; the
+    /// protocol's hoisted matvec needs [`KeySet::generate_for_dims`].
     pub fn generate<R: Rng + ?Sized>(params: &BfvParams, rng: &mut R) -> Self {
-        Self::generate_for_dims(params, &[], rng)
+        Self::generate_with(params, rng, |secret, rng| {
+            secret.galois_keys(&power_of_two_elements(params.n()), rng)
+        })
     }
 
-    /// Like [`KeySet::generate`], but additionally materializes the
-    /// baby-step/giant-step rotation keys for Halevi–Shoup matvecs at each
-    /// of the given padded dimensions (see
-    /// [`SecretKey::galois_keys_for_bsgs`] for the exact element set).
+    /// Generates a fresh key set whose rotation keys are exactly the
+    /// baby-step/giant-step set for Halevi–Shoup matvecs at each of the
+    /// given padded dimensions (see [`SecretKey::galois_keys_for_bsgs`] for
+    /// the element set) — nothing else.
     ///
-    /// This is what a DELPHI-style client generates: the power-of-two
-    /// composition set for ad-hoc rotations plus the BSGS set for every
-    /// linear-layer dimension the model metadata announces.
+    /// This is what a DELPHI-style client generates and uploads: the BSGS
+    /// set for every linear-layer dimension the model metadata announces.
     pub fn generate_for_dims<R: Rng + ?Sized>(
         params: &BfvParams,
         dims: &[usize],
         rng: &mut R,
     ) -> Self {
+        Self::generate_with(params, rng, |secret, rng| {
+            secret.galois_keys_for_bsgs(dims, rng)
+        })
+    }
+
+    fn generate_with<R: Rng + ?Sized>(
+        params: &BfvParams,
+        rng: &mut R,
+        galois: impl FnOnce(&SecretKey, &mut R) -> GaloisKeys,
+    ) -> Self {
         let secret = SecretKey::generate(params, rng);
         let public = secret.public_key(rng);
-        let mut specs: HashMap<usize, std::collections::BTreeSet<u32>> = HashMap::new();
-        for g in power_of_two_elements(params.n()) {
-            specs.entry(g).or_default().insert(params.ks_log_base);
-        }
-        merge_bsgs_specs(&mut specs, params, dims);
-        let galois = secret.galois_keys_from_specs(&specs, rng);
+        let galois = galois(&secret, rng);
         Self {
             secret,
             public,
@@ -416,16 +407,15 @@ impl KeySet {
     }
 }
 
-/// Merges the BSGS element→gadget requirements for each dimension into
-/// `specs`. An element claimed under several bases keeps them all: the
-/// composed-rotation paths pick the cheap coarse gadget, the hoisted paths
-/// their matching fine one.
-fn merge_bsgs_specs(
-    specs: &mut HashMap<usize, std::collections::BTreeSet<u32>>,
+/// The BSGS element→gadget requirements for the given dimensions. An
+/// element claimed under several bases keeps them all (babies under the
+/// fine gadget, giants under the ordinary one).
+fn bsgs_specs(
     params: &BfvParams,
     dims: &[usize],
-) {
+) -> HashMap<usize, std::collections::BTreeSet<u32>> {
     let n = params.n();
+    let mut specs: HashMap<usize, std::collections::BTreeSet<u32>> = HashMap::new();
     for &dim in dims {
         let (baby_rots, giant_rots) = crate::linalg::bsgs_rotations(dim);
         for k in baby_rots {
@@ -437,6 +427,7 @@ fn merge_bsgs_specs(
             specs.entry(g).or_default().insert(params.ks_log_base);
         }
     }
+    specs
 }
 
 impl SecretKey {
@@ -521,9 +512,7 @@ impl SecretKey {
     ///
     /// An element claimed by several roles gets one gadget entry per role.
     pub fn galois_keys_for_bsgs<R: Rng + ?Sized>(&self, dims: &[usize], rng: &mut R) -> GaloisKeys {
-        let mut specs = HashMap::new();
-        merge_bsgs_specs(&mut specs, &self.params, dims);
-        self.galois_keys_from_specs(&specs, rng)
+        self.galois_keys_from_specs(&bsgs_specs(&self.params, dims), rng)
     }
 
     /// Generates key-switching keys for `element → {log2(base), …}`
@@ -673,9 +662,9 @@ impl SecretKey {
     /// Records `ct`'s noise budget (bits) into the per-`stage` trace
     /// histogram. Active in full trace mode only: measuring the budget costs
     /// a decrypt-sized pass, which the `counters` overhead contract does not
-    /// allow. The decrypt boundary gauges automatically; encrypt, multiply,
-    /// and rescale boundaries need the secret key, so call this explicitly
-    /// where one is held (e.g. the client after encrypting its randomness).
+    /// allow. The decrypt boundary gauges automatically; the encrypt
+    /// boundary needs the secret key, so call this explicitly where one is
+    /// held (e.g. the client after encrypting its randomness).
     pub fn gauge_noise(&self, ct: &Ciphertext, stage: NoiseStage) {
         if pi_trace::mode() == pi_trace::TraceMode::Full {
             pi_trace::record(stage.hist(), self.noise_budget(ct) as u64);
@@ -687,12 +676,8 @@ impl SecretKey {
 /// `he.noise_*_bits` histograms the 2–4-bit-cliff parameter work consumes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NoiseStage {
-    /// Right after public-key encryption (fresh ciphertext).
+    /// Right after encryption (fresh ciphertext).
     Encrypt,
-    /// After a homomorphic multiply (before relinearization/rescale).
-    Multiply,
-    /// After rescaling / modulus management.
-    Rescale,
     /// Right before decryption (end of the homomorphic pipeline).
     Decrypt,
 }
@@ -701,8 +686,6 @@ impl NoiseStage {
     pub(crate) fn hist(self) -> pi_trace::Hist {
         match self {
             NoiseStage::Encrypt => pi_trace::Hist::NoiseEncryptBits,
-            NoiseStage::Multiply => pi_trace::Hist::NoiseMultiplyBits,
-            NoiseStage::Rescale => pi_trace::Hist::NoiseRescaleBits,
             NoiseStage::Decrypt => pi_trace::Hist::NoiseDecryptBits,
         }
     }
@@ -1369,5 +1352,59 @@ mod tests {
         // A graceful service can report the failure without dying.
         let msg = keys.galois.try_apply(&ct, 5).unwrap_err().to_string();
         assert!(msg.contains("no Galois key"));
+    }
+
+    /// Generates the protocol key set for `dims` and checks that it holds
+    /// exactly the BSGS elements — babies under the fine gadget, giants
+    /// under the ordinary one, nothing else — and that its frame is as
+    /// long as a bare `galois_keys_for_bsgs` set's. Returns the element
+    /// count and the Galois frame length.
+    fn assert_exact_bsgs_set(params: &BfvParams, dims: &[usize]) -> (usize, usize) {
+        use std::collections::BTreeSet;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(99);
+        let keys = KeySet::generate_for_dims(params, dims, &mut rng);
+        let mut expected: HashMap<usize, BTreeSet<u32>> = HashMap::new();
+        for &d in dims {
+            let (babies, giants) = crate::linalg::bsgs_rotations(d);
+            for (rots, log_base) in [(babies, params.bsgs_log_base), (giants, params.ks_log_base)] {
+                for k in rots {
+                    let g = rotation_element(params.n(), k);
+                    expected.entry(g).or_default().insert(log_base);
+                }
+            }
+        }
+        let got: HashMap<usize, BTreeSet<u32>> = keys
+            .galois
+            .keys
+            .iter()
+            .map(|(&g, entries)| (g, entries.iter().map(|e| e.log_base).collect()))
+            .collect();
+        assert_eq!(
+            got, expected,
+            "key set for dims {dims:?} is not the BSGS set"
+        );
+        let bare = keys.secret.galois_keys_for_bsgs(dims, &mut rng);
+        assert_eq!(keys.galois.wire_byte_len(), bare.wire_byte_len());
+        (keys.galois.num_elements(), keys.galois.wire_byte_len())
+    }
+
+    #[test]
+    fn generate_for_dims_holds_exactly_the_bsgs_set() {
+        let small = BfvParams::small_test();
+        assert_exact_bsgs_set(&small, &[16]);
+        // Overlapping roles: rotation 4 is a giant at d = 16 and a baby at
+        // d = 64, so it carries both gadgets.
+        assert_exact_bsgs_set(&small, &[16, 64]);
+        // The protocol's upload under the default parameters, pinned:
+        // tiny-resnet's phase dimensions and the 3×512 MLP's.
+        let params = BfvParams::default_pi();
+        assert_eq!(
+            assert_exact_bsgs_set(&params, &[128, 128, 256, 128, 256, 64]),
+            (39, 20_538_795)
+        );
+        assert_eq!(
+            assert_exact_bsgs_set(&params, &[512, 512, 512, 512]),
+            (44, 26_538_438)
+        );
     }
 }

@@ -13,9 +13,8 @@
 //!   rotations; everything DELPHI's offline phase (`E(w·r − s)`) needs.
 //! * [`linalg`] — Halevi–Shoup diagonal-method matrix-vector products and
 //!   im2col-based convolution over packed ciphertexts.
-//! * [`rns`] — RNS-BFV over multi-prime CRT moduli ([`RnsBfvParams`]):
-//!   ciphertext moduli beyond 100 bits, exact ciphertext–ciphertext
-//!   multiplication with CRT-gadget relinearization, and mul-depth above 1.
+//! * [`wire`] — the byte-level frames (ciphertexts, public keys, Galois
+//!   keys) the protocol ships between the parties.
 //!
 //! # Example
 //!
@@ -43,7 +42,6 @@ pub mod encoder;
 pub mod keys;
 pub mod linalg;
 pub mod params;
-pub mod rns;
 pub mod wire;
 
 pub use cipher::{Ciphertext, PlainOperand, Plaintext};
@@ -53,11 +51,8 @@ pub use keys::{
     PublicKey, SecretKey,
 };
 pub use params::BfvParams;
-pub use rns::{RnsBfvParams, RnsCiphertext, RnsKeySet, RnsPublicKey, RnsRelinKey, RnsSecretKey};
 pub use wire::{
     ciphertext_from_bytes, ciphertext_to_bytes, ciphertext_to_bytes_seeded, flat_frame_len,
-    galois_keys_from_bytes, galois_keys_to_bytes, hoisted_from_bytes, hoisted_to_bytes,
-    plaintext_from_bytes, plaintext_to_bytes, public_key_from_bytes, public_key_to_bytes,
-    rns_ciphertext_from_bytes, rns_ciphertext_to_bytes, rns_ciphertext_to_bytes_seeded,
-    rns_relin_key_from_bytes, rns_relin_key_to_bytes, WireError,
+    galois_keys_from_bytes, galois_keys_to_bytes, public_key_from_bytes, public_key_to_bytes,
+    WireError,
 };

@@ -39,9 +39,9 @@
 //! [`matvec_naive`] keeps the original rotate-after-multiply Horner
 //! formulation `W·v = Σ_k rot(v ⊙ rot⁻¹(diag_k, k), k)` (one composed
 //! rotation per diagonal, key-switch noise never amplified). It needs only
-//! the power-of-two composition keys and serves as the correctness oracle
-//! for the BSGS path in `tests/matvec_differential.rs` and as the bench
-//! baseline.
+//! the power-of-two composition keys ([`crate::KeySet::generate`]) and
+//! serves as the correctness oracle for the BSGS path in
+//! `tests/matvec_differential.rs` and as the bench baseline.
 
 use crate::cipher::{Ciphertext, Plaintext};
 use crate::encoder::BatchEncoder;
@@ -717,7 +717,8 @@ mod tests {
         // including at non-power-of-two logical shapes and dim 1/2 edges.
         let params = BfvParams::small_test();
         let mut rng = rand::rngs::StdRng::seed_from_u64(13);
-        let keys = KeySet::generate_for_dims(&params, &[1, 2, 8, 16], &mut rng);
+        let keys = KeySet::generate(&params, &mut rng);
+        let bsgs_gk = keys.secret.galois_keys_for_bsgs(&[1, 2, 8, 16], &mut rng);
         let enc = BatchEncoder::new(&params);
         let t = params.t();
         for (rows, cols) in [(1, 1), (2, 2), (5, 7), (16, 16)] {
@@ -725,7 +726,7 @@ mod tests {
             let v: Vec<u64> = (0..cols).map(|_| rng.gen_range(0..t.value())).collect();
             let ct = encrypt_vector(&keys.public, &enc, &w, &v, &mut rng);
             let naive = matvec_naive(&keys.galois, &encode_diagonals(&enc, &w), &ct);
-            let bsgs = matvec_precomputed(&keys.galois, &encode_diagonals_bsgs(&enc, &w), &ct);
+            let bsgs = matvec_precomputed(&bsgs_gk, &encode_diagonals_bsgs(&enc, &w), &ct);
             assert_eq!(
                 keys.secret.decrypt(&naive),
                 keys.secret.decrypt(&bsgs),

@@ -14,7 +14,10 @@ use rand::{Rng, SeedableRng};
 
 fn probe(params: &BfvParams, dim: usize, seed: u64) -> (u32, u32) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let keys = KeySet::generate_for_dims(params, &[dim], &mut rng);
+    // Composition keys for the oracle, the protocol's BSGS set for the hot
+    // path, both under one secret.
+    let keys = KeySet::generate(params, &mut rng);
+    let bsgs_gk = keys.secret.galois_keys_for_bsgs(&[dim], &mut rng);
     let enc = BatchEncoder::new(params);
     let t = params.t();
     let data: Vec<u64> = (0..dim * dim)
@@ -24,7 +27,7 @@ fn probe(params: &BfvParams, dim: usize, seed: u64) -> (u32, u32) {
     let v: Vec<u64> = (0..dim).map(|_| rng.gen_range(0..t.value())).collect();
     let ct = encrypt_vector(&keys.public, &enc, &w, &v, &mut rng);
     let naive = matvec_naive(&keys.galois, &encode_diagonals(&enc, &w), &ct);
-    let bsgs = matvec_precomputed(&keys.galois, &encode_diagonals_bsgs(&enc, &w), &ct);
+    let bsgs = matvec_precomputed(&bsgs_gk, &encode_diagonals_bsgs(&enc, &w), &ct);
     let nb = keys.secret.noise_budget(&naive);
     let bb = keys.secret.noise_budget(&bsgs);
     let got = enc.decode_prefix(&keys.secret.decrypt(&bsgs), dim);

@@ -16,13 +16,10 @@
 //! Deterministic by construction (fixed RNG seeds, fixed stride walk), so
 //! a failure reproduces exactly. CI runs this suite in release.
 
-use pi_he::rns::{RnsBfvParams, RnsKeySet};
 use pi_he::{
     ciphertext_from_bytes, ciphertext_to_bytes, ciphertext_to_bytes_seeded, galois_keys_from_bytes,
-    galois_keys_to_bytes, hoisted_from_bytes, hoisted_to_bytes, plaintext_from_bytes,
-    plaintext_to_bytes, public_key_from_bytes, public_key_to_bytes, rns_ciphertext_from_bytes,
-    rns_ciphertext_to_bytes, rns_ciphertext_to_bytes_seeded, rns_relin_key_from_bytes,
-    rns_relin_key_to_bytes, BatchEncoder, BfvParams, KeySet,
+    galois_keys_to_bytes, public_key_from_bytes, public_key_to_bytes, BatchEncoder, BfvParams,
+    KeySet,
 };
 use rand::{Rng, SeedableRng};
 
@@ -109,53 +106,12 @@ fn single_prime_frames_survive_corruption() {
         |b| ciphertext_from_bytes(b, &params),
     );
 
-    fuzz_frame("plaintext", &plaintext_to_bytes(&pt, &params), |b| {
-        plaintext_from_bytes(b, &params)
-    });
-
     fuzz_frame("public key", &public_key_to_bytes(&keys.public), |b| {
         public_key_from_bytes(b, &params)
     });
 
     fuzz_frame("galois keys", &galois_keys_to_bytes(&keys.galois), |b| {
         galois_keys_from_bytes(b, &params)
-    });
-
-    let h = keys.galois.hoist(&ct);
-    fuzz_frame("hoisted upload", &hoisted_to_bytes(&h, &params), |b| {
-        hoisted_from_bytes(b, &params)
-    });
-}
-
-#[test]
-fn rns_frames_survive_corruption() {
-    let params = RnsBfvParams::small_test();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(9001);
-    let keys = RnsKeySet::generate(&params, &mut rng);
-    let m: Vec<u64> = (0..params.n() as u64)
-        .map(|i| i % params.t().value())
-        .collect();
-
-    let ct = keys.public.encrypt(&m, &mut rng);
-    fuzz_frame("rns ciphertext", &rns_ciphertext_to_bytes(&ct), |b| {
-        rns_ciphertext_from_bytes(b, params.base())
-    });
-
-    let (sct, seed) = keys.secret.encrypt_seeded(&m, &mut rng);
-    fuzz_frame(
-        "seeded rns ciphertext",
-        &rns_ciphertext_to_bytes_seeded(&sct, &seed),
-        |b| rns_ciphertext_from_bytes(b, params.base()),
-    );
-
-    // A degree-3 product frame exercises the num_polys > 2 path.
-    let prod = ct.multiply_no_relin(&ct, &params);
-    fuzz_frame("rns product", &rns_ciphertext_to_bytes(&prod), |b| {
-        rns_ciphertext_from_bytes(b, params.base())
-    });
-
-    fuzz_frame("rns relin key", &rns_relin_key_to_bytes(&keys.relin), |b| {
-        rns_relin_key_from_bytes(b, &params)
     });
 }
 
@@ -175,16 +131,12 @@ fn cross_frame_confusion_is_rejected() {
     assert!(public_key_from_bytes(&ct_bytes, &params).is_err());
     assert!(public_key_from_bytes(&gk_bytes, &params).is_err());
     assert!(galois_keys_from_bytes(&ct_bytes, &params).is_err());
-    assert!(plaintext_from_bytes(&ct_bytes, &params).is_err());
-    assert!(hoisted_from_bytes(&ct_bytes, &params).is_err());
-    assert!(rns_ciphertext_from_bytes(&ct_bytes, RnsBfvParams::small_test().base()).is_err());
 
     // Random garbage of plausible length.
     let mut garbage = vec![0u8; 4096];
     rng.fill(&mut garbage[..]);
     assert!(ciphertext_from_bytes(&garbage, &params).is_err());
     assert!(galois_keys_from_bytes(&garbage, &params).is_err());
-    assert!(rns_relin_key_from_bytes(&garbage, &RnsBfvParams::small_test()).is_err());
     assert!(pi_he::flat_frame_len(&garbage).is_none());
 }
 
@@ -247,37 +199,6 @@ mod roundtrip_props {
             let sw_bytes = ciphertext_to_bytes(&sw);
             let sw_back = ciphertext_from_bytes(&sw_bytes, &params).unwrap();
             prop_assert_eq!(&ciphertext_to_bytes(&sw_back), &sw_bytes);
-        }
-
-        /// RNS frames round-trip canonically for every residue count, and
-        /// a seeded frame regenerates `c1` bit-exactly (the full-frame
-        /// serialization of the parsed result matches the sender's).
-        #[test]
-        fn rns_frames_canonical_across_residue_counts(
-            n_exp in 9usize..=10,
-            // `RnsBfvParams::new` requires `t_bits + 30 <= prime_bits * k`;
-            // 46-bit primes satisfy it even at k = 1 with the 16-bit t.
-            prime_bits in 46u32..=58,
-            k in 1usize..=3,
-            seed in any::<u64>(),
-        ) {
-            let n = 1usize << n_exp;
-            let params = RnsBfvParams::new(n, prime_bits, k, 16);
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let keys = RnsKeySet::generate(&params, &mut rng);
-            let m: Vec<u64> = (0..n as u64).map(|i| i % params.t().value()).collect();
-
-            let ct = keys.public.encrypt(&m, &mut rng);
-            let bytes = rns_ciphertext_to_bytes(&ct);
-            let back = rns_ciphertext_from_bytes(&bytes, params.base()).unwrap();
-            prop_assert_eq!(&rns_ciphertext_to_bytes(&back), &bytes);
-
-            let (sct, ct_seed) = keys.secret.encrypt_seeded(&m, &mut rng);
-            let full = rns_ciphertext_to_bytes(&sct);
-            let sback =
-                rns_ciphertext_from_bytes(&rns_ciphertext_to_bytes_seeded(&sct, &ct_seed), params.base())
-                    .unwrap();
-            prop_assert_eq!(&rns_ciphertext_to_bytes(&sback), &full);
         }
     }
 }

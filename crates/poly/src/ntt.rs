@@ -45,8 +45,8 @@
 //! the SIMD paths (`tests/ntt_simd_differential.rs` proves bit-for-bit
 //! agreement, lazy representatives included). The stage-major
 //! [`NttTables::forward_many`]/[`NttTables::inverse_many`] batching applies
-//! the same per-stage rule, so `RnsNttTables` and the whole RNS-BFV
-//! multiply inherit the vector path for every residue column.
+//! the same per-stage rule, so `RnsNttTables` inherits the vector path for
+//! every residue column.
 //!
 //! The pre-optimization Barrett transforms survive as
 //! [`NttTables::forward_reference`] / [`NttTables::inverse_reference`]; they

@@ -43,7 +43,7 @@ pub use pi_field::simd::{backend, SimdBackend, LANES};
 pub fn stage_vectorizable(be: SimdBackend, t: usize, n: usize) -> bool {
     match be {
         SimdBackend::Scalar => false,
-        SimdBackend::Avx512 | SimdBackend::Ifma => t >= LANES || n.is_multiple_of(16),
+        SimdBackend::Avx512 => t >= LANES || n.is_multiple_of(16),
         _ => t >= LANES,
     }
 }

@@ -33,7 +33,10 @@ fn check_dims(params: &BfvParams, shapes: &[(usize, usize)], seed: u64) {
         .iter()
         .map(|&(r, c)| r.max(c).next_power_of_two())
         .collect();
-    let keys = KeySet::generate_for_dims(params, &dims, &mut rng);
+    // The oracle runs on the power-of-two composition keys, the hot path on
+    // the BSGS set the protocol uploads; both under one secret.
+    let keys = KeySet::generate(params, &mut rng);
+    let bsgs_gk = keys.secret.galois_keys_for_bsgs(&dims, &mut rng);
     let enc = BatchEncoder::new(params);
     let t = params.t();
     for &(rows, cols) in shapes {
@@ -45,7 +48,7 @@ fn check_dims(params: &BfvParams, shapes: &[(usize, usize)], seed: u64) {
         let ct = encrypt_vector(&keys.public, &enc, &w, &v, &mut rng);
 
         let naive = matvec_naive(&keys.galois, &encode_diagonals(&enc, &w), &ct);
-        let bsgs = matvec_precomputed(&keys.galois, &encode_diagonals_bsgs(&enc, &w), &ct);
+        let bsgs = matvec_precomputed(&bsgs_gk, &encode_diagonals_bsgs(&enc, &w), &ct);
 
         // Bit-for-bit identical decryptions, and both match the plaintext
         // reference with noise to spare.
@@ -108,15 +111,16 @@ fn hoisted_rotation_matches_composed_rotation() {
     let params = BfvParams::small_test();
     let mut rng = rand::rngs::StdRng::seed_from_u64(404);
     // dim 16 → baby rotations {1, 2, 3} at the fine gadget, giants {4, 8, 12}.
-    let keys = KeySet::generate_for_dims(&params, &[16], &mut rng);
+    let keys = KeySet::generate(&params, &mut rng);
+    let bsgs_gk = keys.secret.galois_keys_for_bsgs(&[16], &mut rng);
     let enc = BatchEncoder::new(&params);
     let v: Vec<u64> = (0..params.n() as u64).collect();
     let ct = keys.public.encrypt(&enc.encode(&v), &mut rng);
-    let hoisted = keys.galois.hoist(&ct);
+    let hoisted = bsgs_gk.hoist(&ct);
     assert_eq!(hoisted.log_base(), params.bsgs_log_base);
     assert_eq!(hoisted.num_digits(), params.bsgs_digits);
     for k in [0usize, 1, 2, 3] {
-        let direct = keys.galois.rotate_hoisted(&hoisted, k);
+        let direct = bsgs_gk.rotate_hoisted(&hoisted, k);
         let composed = keys.galois.rotate_rows(&ct, k);
         // Different key-switch noise, same decryption.
         assert_eq!(
@@ -128,13 +132,13 @@ fn hoisted_rotation_matches_composed_rotation() {
     // Giant keys exist but under the coarse gadget: the hoisted digits
     // cannot feed them, and the API must say so rather than corrupt.
     let g4 = rotation_element(params.n(), 4);
-    match keys.galois.try_rotate_hoisted(&hoisted, 4) {
+    match bsgs_gk.try_rotate_hoisted(&hoisted, 4) {
         Err(KeyError::GadgetMismatch { g, .. }) => assert_eq!(g, g4),
         other => panic!("expected GadgetMismatch for a giant key, got {other:?}"),
     }
     // And a rotation with no key at all is a MissingGaloisKey.
     assert!(matches!(
-        keys.galois.try_rotate_hoisted(&hoisted, 5),
+        bsgs_gk.try_rotate_hoisted(&hoisted, 5),
         Err(KeyError::MissingGaloisKey(_))
     ));
 }
@@ -159,7 +163,8 @@ proptest! {
         let params = BfvParams::small_test();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let dim = rows.max(cols).next_power_of_two();
-        let keys = KeySet::generate_for_dims(&params, &[dim], &mut rng);
+        let keys = KeySet::generate(&params, &mut rng);
+        let bsgs_gk = keys.secret.galois_keys_for_bsgs(&[dim], &mut rng);
         let enc = BatchEncoder::new(&params);
         let t = params.t();
         let data: Vec<u64> = (0..rows * cols).map(|_| rng.gen_range(0..t.value())).collect();
@@ -167,7 +172,7 @@ proptest! {
         let v: Vec<u64> = (0..cols).map(|_| rng.gen_range(0..t.value())).collect();
         let ct = encrypt_vector(&keys.public, &enc, &w, &v, &mut rng);
         let naive = matvec_naive(&keys.galois, &encode_diagonals(&enc, &w), &ct);
-        let bsgs = matvec_precomputed(&keys.galois, &encode_diagonals_bsgs(&enc, &w), &ct);
+        let bsgs = matvec_precomputed(&bsgs_gk, &encode_diagonals_bsgs(&enc, &w), &ct);
         prop_assert_eq!(keys.secret.decrypt(&naive), keys.secret.decrypt(&bsgs));
         prop_assert_eq!(
             enc.decode_prefix(&keys.secret.decrypt(&bsgs), rows),

@@ -1,20 +1,15 @@
 //! Differential suite: the fast (RNS-native, big-int-free) CRT-boundary
 //! kernels against their exact big-integer oracles.
 //!
-//! Three layers, matching the stack:
+//! Two layers, matching the stack:
 //! * `pi-field`'s `FastBaseConverter` vs `CrtBasis::compose` + decompose /
 //!   `extend_centered`, over 1–4-prime bases at 30/45/50-bit primes,
 //!   including worst-case values at `±Q/2` where the fixed-point FBC
 //!   correction is allowed to pick either centered representative;
 //! * `pi-poly`'s batched `convert_basis_fast` / `extend_fast` vs
-//!   `extend_centered` at n ∈ {16, 256, 2048};
-//! * `pi-he`'s fast multiply (FBC lift + HPS rescale + Shenoy–Kumaresan
-//!   return) vs `multiply_exact`, asserting identical decryptions, a noise
-//!   cost of at most one bit, and surviving depth-2 chains under the
-//!   3×45-bit and 4×50-bit bases.
+//!   `extend_centered` at n ∈ {16, 256, 2048}.
 
-use private_inference::field::{CrtBasis, FastBaseConverter, Modulus, U1024};
-use private_inference::he::rns::{RnsBfvParams, RnsKeySet};
+use private_inference::field::{CrtBasis, FastBaseConverter, U1024};
 use private_inference::poly::rns::{convert_columns_fast, RnsContext, RnsPoly};
 use private_inference::poly::PolyForm;
 use proptest::prelude::*;
@@ -251,116 +246,6 @@ fn forward_many_single_column_basis_matches_individual() {
 }
 
 // ---------------------------------------------------------------------------
-// HE layer: fast multiply vs the exact big-integer oracle.
-// ---------------------------------------------------------------------------
-
-fn random_message(params: &RnsBfvParams, rng: &mut impl Rng) -> Vec<u64> {
-    let t = params.t().value();
-    (0..params.n()).map(|_| rng.gen_range(0..t)).collect()
-}
-
-/// Negacyclic product of two messages mod t (plaintext-ring semantics).
-fn negacyclic_mul_mod_t(a: &[u64], b: &[u64], t: Modulus) -> Vec<u64> {
-    let n = a.len();
-    let mut out = vec![0u64; n];
-    for (i, &ai) in a.iter().enumerate() {
-        for (j, &bj) in b.iter().enumerate() {
-            let prod = t.mul(t.reduce(ai), t.reduce(bj));
-            let k = i + j;
-            if k < n {
-                out[k] = t.add(out[k], prod);
-            } else {
-                out[k - n] = t.sub(out[k - n], prod);
-            }
-        }
-    }
-    out
-}
-
-fn assert_fast_exact_multiply_agree(params: &RnsBfvParams, seed: u64, pairs: usize) {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let keys = RnsKeySet::generate(params, &mut rng);
-    // A single-prime basis cannot relinearize (the one CRT-gadget digit is
-    // the full ~q-bit residue, whose key-switch noise exceeds the headroom);
-    // compare the degree-2 tensor outputs there instead.
-    let relin = params.basis_len() > 1;
-    for _ in 0..pairs {
-        let a = random_message(params, &mut rng);
-        let b = random_message(params, &mut rng);
-        let ca = keys.public.encrypt(&a, &mut rng);
-        let cb = keys.public.encrypt(&b, &mut rng);
-        let (fast, exact) = if relin {
-            (
-                ca.multiply(&cb, &keys.relin),
-                ca.multiply_exact(&cb, &keys.relin),
-            )
-        } else {
-            (
-                ca.multiply_no_relin(&cb, params),
-                ca.multiply_no_relin_exact(&cb, params),
-            )
-        };
-        let expect = negacyclic_mul_mod_t(&a, &b, params.t());
-        assert_eq!(keys.secret.decrypt(&fast), expect, "fast path wrong");
-        assert_eq!(keys.secret.decrypt(&exact), expect, "oracle path wrong");
-        let budget_fast = keys.secret.noise_budget(&fast);
-        let budget_exact = keys.secret.noise_budget(&exact);
-        assert!(
-            budget_fast + 1 >= budget_exact,
-            "fast rescale cost more than one bit: {budget_fast} vs {budget_exact}"
-        );
-    }
-}
-
-#[test]
-fn multiply_fast_vs_exact_small_rings() {
-    // 1–4 base primes; prime sizes chosen so every configuration leaves
-    // t at least 30 bits of headroom (the constructor's floor).
-    assert_fast_exact_multiply_agree(&RnsBfvParams::new(16, 50, 1, 8), 1, 4);
-    assert_fast_exact_multiply_agree(&RnsBfvParams::new(16, 30, 2, 8), 2, 4);
-    assert_fast_exact_multiply_agree(&RnsBfvParams::new(16, 30, 3, 8), 3, 4);
-    assert_fast_exact_multiply_agree(&RnsBfvParams::new(16, 30, 4, 8), 4, 4);
-}
-
-#[test]
-fn multiply_fast_vs_exact_mid_rings() {
-    assert_fast_exact_multiply_agree(&RnsBfvParams::new(256, 45, 3, 16), 5, 2);
-    assert_fast_exact_multiply_agree(&RnsBfvParams::new(256, 50, 4, 20), 6, 2);
-}
-
-#[test]
-fn multiply_fast_vs_exact_n2048_3x45() {
-    // The acceptance-criteria ring: n = 2048 over a 3×45-bit basis.
-    assert_fast_exact_multiply_agree(&RnsBfvParams::new(2048, 45, 3, 16), 7, 1);
-}
-
-#[test]
-fn depth_two_retains_budget_under_3x45_and_4x50() {
-    for (params, seed) in [
-        (RnsBfvParams::new(1024, 45, 3, 16), 11u64),
-        (RnsBfvParams::new(1024, 50, 4, 20), 12),
-    ] {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let keys = RnsKeySet::generate(&params, &mut rng);
-        let a = random_message(&params, &mut rng);
-        let b = random_message(&params, &mut rng);
-        let c = random_message(&params, &mut rng);
-        let ca = keys.public.encrypt(&a, &mut rng);
-        let cb = keys.public.encrypt(&b, &mut rng);
-        let cc = keys.public.encrypt(&c, &mut rng);
-        let abc = ca.multiply(&cb, &keys.relin).multiply(&cc, &keys.relin);
-        assert!(
-            keys.secret.noise_budget(&abc) > 0,
-            "depth 2 exhausted the budget under a {}-prime basis",
-            params.basis_len()
-        );
-        let t = params.t();
-        let expect = negacyclic_mul_mod_t(&negacyclic_mul_mod_t(&a, &b, t), &c, t);
-        assert_eq!(keys.secret.decrypt(&abc), expect);
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Property tests.
 // ---------------------------------------------------------------------------
 
@@ -376,14 +261,5 @@ proptest! {
             conv.convert(&src.decompose(&x)),
             src.extend_centered(&x, &dst)
         );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-    #[test]
-    fn prop_fast_multiply_decrypts_like_exact(seed in any::<u64>()) {
-        let params = RnsBfvParams::new(16, 30, 3, 8);
-        assert_fast_exact_multiply_agree(&params, seed, 1);
     }
 }

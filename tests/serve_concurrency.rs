@@ -256,10 +256,17 @@ fn relayed_len(m: &Msg) -> (u64, u64) {
 }
 
 /// Forwards messages from `from` to `to`, summing independently recomputed
-/// (real, flat) sizes, until either side hangs up.
-fn relay(from: &pi_core::channel::Channel, to: &pi_core::channel::Channel) -> (u64, u64) {
+/// (real, flat) sizes, until either side hangs up. `tamper` sees every
+/// message first: it returns the message to forward, or `None` to stop
+/// relaying.
+fn relay(
+    from: &pi_core::channel::Channel,
+    to: &pi_core::channel::Channel,
+    mut tamper: impl FnMut(Msg) -> Option<Msg>,
+) -> (u64, u64) {
     let (mut real, mut flat) = (0u64, 0u64);
     while let Ok(m) = from.recv() {
+        let Some(m) = tamper(m) else { break };
         let (r, f) = relayed_len(&m);
         real += r;
         flat += f;
@@ -291,8 +298,8 @@ fn channel_byte_atomics_match_relayed_frames() {
         let (c_chan, c_peer) = pi_core::channel::local_pair();
         let (s_peer, s_chan) = pi_core::channel::local_pair();
         let (up, down, client_side, server_side) = std::thread::scope(|scope| {
-            let up = scope.spawn(|| relay(&c_peer, &s_peer));
-            let down = scope.spawn(|| relay(&s_peer, &c_peer));
+            let up = scope.spawn(|| relay(&c_peer, &s_peer, Some));
+            let down = scope.spawn(|| relay(&s_peer, &c_peer, Some));
             // The driver threads own their channel ends: dropping them on
             // completion is what unblocks the relays' `recv` loops.
             let client = scope.spawn({
@@ -357,5 +364,140 @@ fn channel_byte_atomics_match_relayed_frames() {
             s_sent_flat > s_sent,
             "{kind:?} download flat={s_sent_flat} real={s_sent}"
         );
+    }
+}
+
+/// A peer's OT message with the wrong shape is the peer's fault: the
+/// server rejects it with a typed error instead of letting the OT layer's
+/// shape asserts panic a worker, and the runtime keeps serving. A relay
+/// between a real client and the runtime drops one `u` column from the
+/// client's first `OtExtend`.
+#[test]
+fn malformed_ot_extend_is_rejected_and_the_server_keeps_serving() {
+    let he = BfvParams::small_test();
+    let model = build_model(&he, 11);
+    let meta = ModelMeta::of(&model);
+    let cfg = ProtocolConfig::clear(ProtocolKind::ServerGarbler);
+    let rt = ServeRuntime::new(serve_cfg(2));
+    let model_id = rt.register_model(model.clone(), cfg.clone());
+
+    let conn = rt.connect(0, model_id, 1);
+    let (c_chan, c_peer) = pi_core::channel::local_pair();
+    // Both relays share the client-facing end; once both stop, it drops
+    // and the client sees the disconnect instead of waiting forever.
+    let c_peer = std::sync::Arc::new(c_peer);
+    let client_res = std::thread::scope(|scope| {
+        let (up_peer, down_peer, server) = (c_peer.clone(), c_peer.clone(), &conn.chan);
+        scope.spawn(move || {
+            relay(&up_peer, server, |m| match m {
+                Msg::OtExtend(mut e) => {
+                    e.u_columns.pop();
+                    // Forward the corrupted message, then stop.
+                    let _ = server.send(Msg::OtExtend(e));
+                    None
+                }
+                other => Some(other),
+            })
+        });
+        scope.spawn(move || relay(server, &down_peer, Some));
+        drop(c_peer);
+        let client = scope.spawn(|| {
+            let input = random_input(&model, 5);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(6);
+            ServiceClient::new().run(&meta, &input, &cfg, &c_chan, &mut rng)
+        });
+        client.join().expect("client thread")
+    });
+    assert!(
+        client_res.is_err(),
+        "client finished against a dead session"
+    );
+    match conn.handle.wait() {
+        Err(ProtocolError::BadRequest(what)) => assert_eq!(what, "OT message shape"),
+        other => panic!("expected BadRequest, got {other:?}"),
+    }
+
+    // The runtime survived: a well-behaved client still gets the right
+    // answer.
+    let conn = rt.connect(1, model_id, 2);
+    let input = random_input(&model, 7);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+    let (out, _) = ServiceClient::new()
+        .run(&meta, &input, &cfg, &conn.chan, &mut rng)
+        .expect("client after the rejected session");
+    assert_eq!(out, model.forward(&input));
+    conn.handle
+        .wait()
+        .expect("server after the rejected session");
+}
+
+/// A final output share one element short must fail the client, not
+/// yield a silently shorter output. In HE mode the server's only `VecU64`
+/// is that final share, so the relay truncates every one it sees.
+#[test]
+fn truncated_final_share_is_an_error_not_a_short_output() {
+    let he = BfvParams::small_test();
+    let model = build_model(&he, 11);
+    let meta = ModelMeta::of(&model);
+    let input = random_input(&model, 99);
+    for kind in [ProtocolKind::ClientGarbler, ProtocolKind::ServerGarbler] {
+        let cfg = match kind {
+            ProtocolKind::ClientGarbler => ProtocolConfig::client_garbler(he.clone(), 1),
+            ProtocolKind::ServerGarbler => ProtocolConfig::server_garbler(he.clone()),
+        };
+        let pre = pi_core::ServerPrecomp::new(&model, &cfg);
+        let (c_chan, c_peer) = pi_core::channel::local_pair();
+        let (s_peer, s_chan) = pi_core::channel::local_pair();
+        let client_res = std::thread::scope(|scope| {
+            scope.spawn(|| relay(&c_peer, &s_peer, Some));
+            scope.spawn(|| {
+                relay(&s_peer, &c_peer, |m| match m {
+                    Msg::VecU64(mut v) => {
+                        v.pop();
+                        Some(Msg::VecU64(v))
+                    }
+                    other => Some(other),
+                })
+            });
+            scope.spawn({
+                let (model, pre, cfg) = (&model, &pre, &cfg);
+                move || {
+                    let rng = rand::rngs::StdRng::seed_from_u64(6);
+                    match kind {
+                        ProtocolKind::ClientGarbler => {
+                            pi_core::client_garbler::try_run_server(model, pre, cfg, &s_chan, rng)
+                        }
+                        ProtocolKind::ServerGarbler => {
+                            pi_core::server_garbler::try_run_server(model, pre, cfg, &s_chan, rng)
+                        }
+                    }
+                }
+            });
+            let client = scope.spawn({
+                let (meta, input, cfg) = (&meta, &input, &cfg);
+                move || {
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+                    match kind {
+                        ProtocolKind::ClientGarbler => pi_core::client_garbler::try_run_client(
+                            meta, input, cfg, &c_chan, &mut rng,
+                        ),
+                        ProtocolKind::ServerGarbler => pi_core::server_garbler::try_run_client(
+                            meta, input, cfg, &c_chan, &mut rng,
+                        ),
+                    }
+                }
+            });
+            client.join().expect("client thread")
+        });
+        match client_res {
+            Err(ProtocolError::BadRequest(what)) => {
+                assert_eq!(what, "final output share length", "{kind:?}")
+            }
+            Err(e) => panic!("{kind:?}: expected BadRequest, got {e:?}"),
+            Ok((out, _)) => panic!(
+                "{kind:?}: truncated share returned Ok ({} outputs)",
+                out.len()
+            ),
+        }
     }
 }
